@@ -281,7 +281,8 @@ def optimize_dag(graph: ComputeGraph, ctx: OptimizerContext,
     to its cheapest entries.  With the default ``None`` the search is exact;
     a finite beam trades a (usually tiny) optimality gap for much lower
     planning time on graphs whose sharing produces large equivalence classes
-    (e.g. the 57-vertex FFNN training step).
+    (e.g. the 57-vertex FFNN training step).  Anything but ``None`` or a
+    positive ``int`` raises ``ValueError``.
 
     ``frontier`` selects the table representation: ``"array"`` (default)
     runs the vectorized sweep of :mod:`repro.core.frontier_array`;
@@ -299,6 +300,11 @@ def optimize_dag(graph: ComputeGraph, ctx: OptimizerContext,
     if frontier not in FRONTIERS:
         raise ValueError(f"unknown frontier {frontier!r}; "
                          f"expected one of {FRONTIERS}")
+    if max_states is not None and (isinstance(max_states, bool)
+                                   or not isinstance(max_states, int)
+                                   or max_states < 1):
+        raise ValueError(f"invalid max_states {max_states!r}; "
+                         f"expected None or a positive int")
     if frontier == "array":
         from .frontier_array import optimize_dag_array
         return optimize_dag_array(graph, ctx, stats=stats,
@@ -364,7 +370,9 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
             del active[cls.cid]
 
     unvisited = [v.vid for v in graph.inner_vertices]
+    mark = time.perf_counter()
     candidate_counts = _candidate_output_counts(graph, ctx)
+    stats.charge_phase("order", time.perf_counter() - mark)
 
     tracer = as_tracer(tracer)
     with tracer.span("sweep", kind="search-phase",
@@ -373,9 +381,11 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
             mark = time.perf_counter()
             vid = _choose_next(graph, order, unvisited, visited, active,
                                member_class, consumers_left, candidate_counts)
-            stats.charge_phase("order", time.perf_counter() - mark)
             stats.sweep_order.append(vid)
             unvisited.remove(vid)
+            now = time.perf_counter()
+            stats.charge_phase("order", now - mark)
+            mark = now
             v = graph.vertex(vid)
             edges = graph.in_edges(vid)
             in_types = tuple(graph.vertex(p).mtype for p in v.inputs)
@@ -384,7 +394,6 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
                 raise OptimizationError(
                     f"no implementation accepts any formats at vertex {v.name!r}")
 
-            mark = time.perf_counter()
             involved_cids = sorted({member_class[p] for p in v.inputs})
             involved = [active.pop(cid) for cid in involved_cids]
             if oracle is not None:
@@ -546,13 +555,16 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
                 raise OptimizationError(
                     f"no feasible annotation for vertex {v.name!r} "
                     f"({v.op.name} over {[str(t) for t in in_types]})")
-            stats.charge_phase("project", time.perf_counter() - mark)
+            now = time.perf_counter()
+            stats.charge_phase("project", now - mark)
+            mark = now
 
             if oracle is not None:
-                mark = time.perf_counter()
                 new_table = _dominance_prune(new_members, new_table, oracle,
                                              stats)
-                stats.charge_phase("prune", time.perf_counter() - mark)
+                now = time.perf_counter()
+                stats.charge_phase("prune", now - mark)
+                mark = now
 
             if max_states is not None and len(new_table) > max_states:
                 stats.states_beamed += len(new_table) - max_states
@@ -564,6 +576,7 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
                 cost, _back = cls.table[()]
                 completed.append((cost, (cls.cid, ())))
                 del active[cls.cid]
+            stats.charge_phase("beam", time.perf_counter() - mark)
         sweep_span.set(steps=len(stats.sweep_order),
                        states_examined=stats.states_examined,
                        states_pruned=stats.states_pruned,

@@ -2,16 +2,19 @@
 
 Same algorithm as :mod:`repro.core.frontier` (paper Section 6) — identical
 sweep order, identical dominance prune, identical tie-breaking — but the
-per-class cost tables are column-oriented numpy arrays (a cost column plus
-one integer-coded format column per class slot) instead of python dicts, so
-the three hot loops run as array operations:
+per-class cost tables are column-oriented numpy arrays (a cost column, one
+integer-coded format column per class slot, and integer back-pointer
+columns) instead of python dicts, so no loop of the sweep runs once per
+table row:
 
 * **projection** — the transformation costs for a whole table column come
   from one memoized cost vector
   (:meth:`repro.core.registry.OptimizerContext.transform_cost_vector`,
-  backed by the batched :func:`repro.core.transforms.transform_cost_table`
+  backed by the batched :func:`repro.core.transforms.transform_choice_table`
   / :meth:`repro.cost.CostModel.batch_seconds` entry points) and are added
-  to the cost column elementwise;
+  to the cost column elementwise; surviving sub-states are re-encoded into
+  the new table's key space through a per-slot ``old code → new code``
+  remap array;
 * **apply + dedup** — the cross product over merged classes is a chain of
   outer sums, and the strict-``<`` keep-first dedup over joint states is a
   stable groupby/argmin over the integer-coded state rows;
@@ -36,10 +39,14 @@ Three invariants make it hold:
    first-insertion rule: a table key sits at its first-appearance position
    and is won by the *earliest* entry attaining its minimum cost.
 
-Back-pointers (:class:`~repro.core.frontier._Back`) are materialized only
-for entries that survive dedup, pruning and the beam — the object path
-builds one per strict improvement — which is where much of the speedup on
-wide DAGs comes from.  Plan reconstruction is shared with the object path.
+Back-pointers are integers, computed with index arithmetic for every row
+that survives dedup, pruning and the beam: the row of each merged class it
+was built from, the pattern group (input-format tuple) it applied and the
+implementation/output-format index within that group.  Implementations,
+edge transformations (through the code-indexed
+:meth:`~repro.core.registry.OptimizerContext.transform_choice_vector`) and
+formats are resolved by :func:`_reconstruct_rows` only for the one row per
+class on the winning path; no per-row python object is ever built.
 """
 
 from __future__ import annotations
@@ -50,17 +57,14 @@ import time
 import numpy as np
 
 from ..obs.tracer import as_tracer
-from .annotation import Plan, make_plan
+from .annotation import Annotation, Plan, make_plan
 from .frontier import (
     DOMINANCE_COMPARISONS,
     FrontierStats,
-    State,
-    _Back,
     _candidate_output_counts,
     _choose_next,
     _Class,
     _DominanceOracle,
-    _reconstruct,
 )
 from .graph import ComputeGraph, VertexId
 from .registry import OptimizerContext
@@ -72,44 +76,69 @@ _MISSING = object()
 # ----------------------------------------------------------------------
 # Column-oriented class tables
 # ----------------------------------------------------------------------
+class _Step:
+    """What every row of one class table shares: the sweep step that built
+    it.
+
+    ``prev_cids[j]`` is the ``j``-th merged class; ``edges[j]`` lists its
+    edges into ``vertex`` as ``(edge, arg position, class slot, mtype)``;
+    ``groups[g]`` is the ``g``-th applied pattern group as ``(input
+    formats, [(output format, (impl cost, impl)), ...])``.
+    """
+
+    __slots__ = ("vertex", "prev_cids", "edges", "groups")
+
+    def __init__(self, vertex: VertexId, prev_cids: tuple[int, ...],
+                 edges: list[list[tuple]], groups: list[tuple]) -> None:
+        self.vertex = vertex
+        self.prev_cids = prev_cids
+        self.edges = edges
+        self.groups = groups
+
+
 class _ArrayTable:
     """One class cost table as parallel columns.
 
-    ``states[i]`` / ``costs[i]`` / ``backs[i]`` mirror one entry of the
-    object path's ``dict[State, (cost, _Back)]`` in the same order;
-    ``codes[i, s]`` is the integer code of ``states[i][s]`` within
-    ``slot_fmts[s]`` (the distinct formats ever seen in slot ``s``, in
-    first-appearance order).  Supports the mapping-style ``table[state]``
-    lookup that plan reconstruction uses.
+    Row ``i`` mirrors one entry of the object path's ``dict[State, (cost,
+    _Back)]`` in the same order: ``costs[i]`` is its cost and ``codes[i,
+    s]`` the integer code of its slot-``s`` format within ``slot_fmts[s]``
+    (the distinct formats ever seen in slot ``s``, in first-appearance
+    order).  The back-pointer columns say how the row was built by
+    ``step``: ``prev[i, j]`` is its row in the ``j``-th merged class's
+    table, ``group[i]`` the pattern group and ``out[i]`` the output-format
+    index within that group.  Source tables have ``step=None``.
     """
 
-    __slots__ = ("states", "costs", "backs", "codes", "slot_fmts", "_index")
+    __slots__ = ("costs", "codes", "slot_fmts", "prev", "group", "out",
+                 "step")
 
-    def __init__(self, states: list[State], costs: np.ndarray,
-                 backs: list[_Back | None], codes: np.ndarray,
-                 slot_fmts: tuple[tuple, ...]) -> None:
-        self.states = states
+    def __init__(self, costs: np.ndarray, codes: np.ndarray,
+                 slot_fmts: tuple[tuple, ...], prev: np.ndarray,
+                 group: np.ndarray, out: np.ndarray,
+                 step: _Step | None) -> None:
         self.costs = costs
-        self.backs = backs
         self.codes = codes
         self.slot_fmts = slot_fmts
-        self._index: dict[State, int] | None = None
+        self.prev = prev
+        self.group = group
+        self.out = out
+        self.step = step
+
+    @classmethod
+    def source(cls, fmt) -> "_ArrayTable":
+        zero = np.zeros(1, dtype=np.int64)
+        return cls(np.zeros(1, dtype=np.float64),
+                   np.zeros((1, 1), dtype=np.int64), ((fmt,),),
+                   np.zeros((1, 0), dtype=np.int64), zero, zero, None)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.costs.shape[0]
 
-    def __getitem__(self, state: State):
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.states)}
-        i = self._index[state]
-        return (self.costs[i], self.backs[i])
-
-    def filtered(self, keep: np.ndarray) -> "_ArrayTable":
-        """A new table with only the rows where ``keep`` is True."""
-        idx = np.flatnonzero(keep)
-        return _ArrayTable([self.states[i] for i in idx], self.costs[idx],
-                           [self.backs[i] for i in idx], self.codes[idx],
-                           self.slot_fmts)
+    def filtered(self, idx: np.ndarray) -> "_ArrayTable":
+        """A new table with only rows ``idx`` (a mask or index array)."""
+        return _ArrayTable(self.costs[idx], self.codes[idx], self.slot_fmts,
+                           self.prev[idx], self.group[idx], self.out[idx],
+                           self.step)
 
 
 # ----------------------------------------------------------------------
@@ -262,20 +291,66 @@ class _Proj:
 
     Entry ``j`` mirrors one entry of the object path's
     ``sub-state -> (adjusted cost, full state, transform choices)``
-    projection dict, in the same insertion order; ``sub_codes`` carries the
-    sub-states re-encoded into the *new* table's key-slot code space.
+    projection dict, in the same insertion order: ``adj[j]`` is its
+    adjusted cost, ``full_idx[j]`` the class-table row it came from, and
+    ``sub_codes[j]`` its sub-state re-encoded into the *new* table's
+    key-slot code space.
     """
 
-    __slots__ = ("adj", "full_idx", "sub_fmts", "choices", "retired",
-                 "sub_codes")
+    __slots__ = ("adj", "full_idx", "sub_codes")
 
-    def __init__(self, adj, full_idx, sub_fmts, choices, retired):
-        self.adj = adj              # (n,) float64 adjusted costs
-        self.full_idx = full_idx    # (n,) indices into the class table
-        self.sub_fmts = sub_fmts    # list[State] surviving-member formats
-        self.choices = choices      # list[tuple[(edge, transform, fmt)]]
-        self.retired = retired      # list[tuple[(vid, fmt)]]
-        self.sub_codes = None       # (n, n_survivors) int64, set by caller
+    def __init__(self, adj: np.ndarray, full_idx: np.ndarray,
+                 sub_codes: np.ndarray) -> None:
+        self.adj = adj
+        self.full_idx = full_idx
+        self.sub_codes = sub_codes
+
+
+def _recode(col: np.ndarray, fmts: tuple, fmt_codes: dict) -> np.ndarray:
+    """Re-encode one code column (codes into ``fmts``) into the code space
+    ``fmt_codes`` (format -> code), giving formats not yet coded the next
+    codes in order of first appearance in ``col``."""
+    present, first = np.unique(col, return_index=True)
+    remap = np.zeros(len(fmts), dtype=np.int64)
+    for old in present[np.argsort(first)]:
+        remap[old] = fmt_codes.setdefault(fmts[old], len(fmt_codes))
+    return remap[col]
+
+
+# ----------------------------------------------------------------------
+# Reconstruction along the winning path
+# ----------------------------------------------------------------------
+def _reconstruct_rows(history: dict[int, _Class],
+                      completed: list[tuple[float, tuple[int, int]]],
+                      ctx: OptimizerContext) -> Annotation:
+    """Walk the integer back-pointers from each completed component's root
+    row, resolving the implementation and edge transformations of the one
+    row per class on the winning path — in the same visiting order as
+    :func:`repro.core.frontier._reconstruct`.  Retired members need no
+    resolving: a vertex's stored format is its implementation's output,
+    which the annotation already fixes."""
+    annotation = Annotation()
+    stack = [ref for (_cost, ref) in completed]
+    while stack:
+        cid, row = stack.pop()
+        table: _ArrayTable = history[cid].table
+        step = table.step
+        if step is None:
+            continue  # source class
+        in_fmts, outs = step.groups[table.group[row]]
+        _out_fmt, (_cost, impl) = outs[table.out[row]]
+        annotation.impls[step.vertex] = impl
+        for j, prev_cid in enumerate(step.prev_cids):
+            prev_row = int(table.prev[row, j])
+            prev_table = history[prev_cid].table
+            for edge, pos, slot, mtype in step.edges[j]:
+                need = in_fmts[pos]
+                choices = ctx.transform_choice_vector(
+                    mtype, prev_table.slot_fmts[slot], need)
+                annotation.transforms[edge] = (
+                    choices[prev_table.codes[prev_row, slot]], need)
+            stack.append((prev_cid, prev_row))
+    return annotation
 
 
 # ----------------------------------------------------------------------
@@ -317,21 +392,20 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
         stats.observe(len(members), len(table))
         return cls
 
-    completed: list[tuple[float, tuple[int, State]]] = []
+    #: Fully retired classes: (cost, (class id, root row)) per component.
+    completed: list[tuple[float, tuple[int, int]]] = []
 
     for source in graph.sources:
         visited.add(source.vid)
-        table = _ArrayTable([(source.format,)],
-                            np.zeros(1, dtype=np.float64), [None],
-                            np.zeros((1, 1), dtype=np.int64),
-                            ((source.format,),))
-        cls = new_class((source.vid,), table)
+        cls = new_class((source.vid,), _ArrayTable.source(source.format))
         if consumers_left[source.vid] == 0:
-            completed.append((0.0, (cls.cid, (source.format,))))
+            completed.append((0.0, (cls.cid, 0)))
             del active[cls.cid]
 
     unvisited = [v.vid for v in graph.inner_vertices]
+    mark = time.perf_counter()
     candidate_counts = _candidate_output_counts(graph, ctx)
+    stats.charge_phase("order", time.perf_counter() - mark)
 
     tracer = as_tracer(tracer)
     with tracer.span("sweep", kind="search-phase",
@@ -340,9 +414,11 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
             mark = time.perf_counter()
             vid = _choose_next(graph, order, unvisited, visited, active,
                                member_class, consumers_left, candidate_counts)
-            stats.charge_phase("order", time.perf_counter() - mark)
             stats.sweep_order.append(vid)
             unvisited.remove(vid)
+            now = time.perf_counter()
+            stats.charge_phase("order", now - mark)
+            mark = now
             v = graph.vertex(vid)
             edges = graph.in_edges(vid)
             in_types = tuple(graph.vertex(p).mtype for p in v.inputs)
@@ -351,7 +427,6 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                 raise OptimizationError(
                     f"no implementation accepts any formats at vertex {v.name!r}")
 
-            mark = time.perf_counter()
             involved_cids = sorted({member_class[p] for p in v.inputs})
             involved = [active.pop(cid) for cid in involved_cids]
             if pruner is not None:
@@ -368,15 +443,17 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
             v_survives = consumers_left[vid] > 0
             new_members = survivors + ((vid,) if v_survives else ())
 
-            local_slot: dict[VertexId, int] = {}
+            # Per involved class, its edges into ``v`` as (edge, argument
+            # position, class slot, producer mtype), in edge order.
             edges_of_class: dict[int, list] = {cls.cid: [] for cls in involved}
-            class_of_member: dict[VertexId, int] = {}
+            slot_of: dict[VertexId, tuple[int, int]] = {}
             for cls in involved:
                 for i, m in enumerate(cls.members):
-                    local_slot[m] = i
-                    class_of_member[m] = cls.cid
+                    slot_of[m] = (cls.cid, i)
             for pos, edge in enumerate(edges):
-                edges_of_class[class_of_member[edge.src]].append((edge, pos))
+                cid, slot = slot_of[edge.src]
+                edges_of_class[cid].append(
+                    (edge, pos, slot, graph.vertex(edge.src).mtype))
 
             groups: dict[tuple, dict] = {}
             for impl, in_fmts, out_fmt, impl_cost in patterns:
@@ -408,107 +485,68 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                 if cached is not _MISSING:
                     return cached
                 table: _ArrayTable = cls.table
-                n = len(table)
-                stats.states_examined += n
+                stats.states_examined += len(table)
                 survivor_idx = class_surv_idx[cls.cid]
-                converters = []
-                for (edge, _pos), need in zip(edges_of_class[cls.cid], needs):
-                    ptype = graph.vertex(edge.src).mtype
-                    converters.append(
-                        (local_slot[edge.src], edge, ptype, need))
                 # The same add sequence as the object path: class cost,
                 # then one transformation cost per edge, in edge order.
                 adjusted = table.costs.copy()
-                for slot, _edge, ptype, need in converters:
+                for (_edge, _pos, slot, mtype), need in zip(
+                        edges_of_class[cls.cid], needs):
                     tvec = ctx.transform_cost_vector(
-                        ptype, table.slot_fmts[slot], need)
+                        mtype, table.slot_fmts[slot], need)
                     adjusted += tvec[table.codes[:, slot]]
                 feas_idx = np.flatnonzero(np.isfinite(adjusted))
                 if feas_idx.shape[0] == 0:
                     proj_cache[key] = None
                     return None
                 adj = adjusted[feas_idx]
-                if survivor_idx:
-                    sub = table.codes[np.ix_(feas_idx, survivor_idx)]
-                    cards = [len(table.slot_fmts[i]) for i in survivor_idx]
-                else:
-                    sub = np.empty((feas_idx.shape[0], 0), dtype=np.int64)
-                    cards = []
-                inverse = _group_rows(sub, cards)
-                _first, winner = _first_and_winner(inverse, adj)
+                sub = table.codes[np.ix_(feas_idx, survivor_idx)]
+                cards = [len(table.slot_fmts[i]) for i in survivor_idx]
+                _first, winner = _first_and_winner(_group_rows(sub, cards),
+                                                   adj)
                 full_idx = feas_idx[winner]
-                proj_adj = adj[winner]
-
-                retiring = [(i, m) for i, m in enumerate(cls.members)
-                            if consumers_left[m] == 0]
-                sub_fmts: list[State] = []
-                choices: list[tuple] = []
-                retired: list[tuple] = []
-                for fi in full_idx:
-                    state = table.states[fi]
-                    sub_fmts.append(
-                        tuple(state[i] for i in survivor_idx))
-                    row = []
-                    for slot, edge, ptype, need in converters:
-                        transform = ctx.transform_choice(
-                            ptype, state[slot], need)[0]
-                        row.append((edge, transform, need))
-                    choices.append(tuple(row))
-                    retired.append(tuple((m, state[i]) for i, m in retiring))
-
-                proj = _Proj(proj_adj, full_idx, sub_fmts, choices, retired)
-                if pruner is not None and len(proj_adj) > 1 and survivor_idx:
+                adj = adj[winner]
+                sub = sub[winner]
+                if pruner is not None and len(adj) > 1 and survivor_idx:
                     members_surv = tuple(cls.members[i] for i in survivor_idx)
                     deltas = _slot_deltas(
                         pruner.oracle, pruner.cache, members_surv,
                         [table.slot_fmts[i] for i in survivor_idx])
-                    keep = _prune_rows(
-                        proj.adj, sub[winner], deltas, stats)
+                    keep = _prune_rows(adj, sub, deltas, stats)
                     if keep is not None:
-                        idx = np.flatnonzero(keep)
-                        proj = _Proj(proj.adj[idx], proj.full_idx[idx],
-                                     [proj.sub_fmts[i] for i in idx],
-                                     [proj.choices[i] for i in idx],
-                                     [proj.retired[i] for i in idx])
+                        adj, full_idx, sub = (adj[keep], full_idx[keep],
+                                              sub[keep])
                 # Encode the surviving sub-states into the new key space.
                 base = slot_offsets[cls.cid]
-                codes = np.empty((len(proj.adj), len(survivor_idx)),
-                                 dtype=np.int64)
-                for j in range(len(survivor_idx)):
-                    fmt_codes = key_fmt_codes[base + j]
-                    col = codes[:, j]
-                    for r, fmts in enumerate(proj.sub_fmts):
-                        fmt = fmts[j]
-                        code = fmt_codes.get(fmt)
-                        if code is None:
-                            code = len(fmt_codes)
-                            fmt_codes[fmt] = code
-                        col[r] = code
-                proj.sub_codes = codes
+                for j, i in enumerate(survivor_idx):
+                    sub[:, j] = _recode(sub[:, j], table.slot_fmts[i],
+                                        key_fmt_codes[base + j])
+                proj = _Proj(adj, full_idx, sub)
                 proj_cache[key] = proj
                 return proj
 
             # ---------------- apply + cross product ----------------
             ecosts: list[np.ndarray] = []
             ekeys: list[np.ndarray] = []
-            eprov: list[tuple] = []  # (projections, outs_list, combo, out)
+            applied: list[tuple] = []  # per group: (in_fmts, outs_list)
+            group_projs: list[list[_Proj]] = []  # per group, class order
             out_codes_map = key_fmt_codes[-1] if v_survives else None
             for in_fmts, outs in groups.items():
                 projections = []
                 feasible = True
                 for cls in involved:
-                    needs = tuple(in_fmts[pos]
-                                  for _edge, pos in edges_of_class[cls.cid])
+                    needs = tuple(in_fmts[pos] for _e, pos, _s, _t
+                                  in edges_of_class[cls.cid])
                     proj = project(cls, needs)
                     if proj is None:
                         feasible = False
                         break
-                    projections.append((cls, proj))
+                    projections.append(proj)
                 if not feasible:
                     continue
                 # Outer-sum chain == the object path's per-class adds.
                 base = np.zeros(1, dtype=np.float64)
-                for _cls, proj in projections:
+                for proj in projections:
                     base = (base[:, None] + proj.adj[None, :]).ravel()
                 n_combos = base.shape[0]
                 outs_list = list(outs.items())
@@ -517,34 +555,28 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                                       dtype=np.float64)
                 costs_g = (base[:, None] + impl_costs[None, :]).ravel()
 
-                sizes = [proj.sub_codes.shape[0]
-                         for _cls, proj in projections]
                 combo_idx = np.arange(n_combos)
                 blocks = []
                 stride = n_combos
-                for (_cls, proj), size in zip(projections, sizes):
+                for proj in projections:
+                    size = proj.sub_codes.shape[0]
                     stride //= size
-                    idx_j = (combo_idx // stride) % size
                     if proj.sub_codes.shape[1]:
-                        blocks.append(proj.sub_codes[idx_j])
+                        blocks.append(
+                            proj.sub_codes[(combo_idx // stride) % size])
                 keys_combo = np.hstack(blocks) if blocks else \
                     np.empty((n_combos, 0), dtype=np.int64)
                 keys_g = np.repeat(keys_combo, n_outs, axis=0)
                 if v_survives:
-                    ocol = np.empty(n_outs, dtype=np.int64)
-                    for oi, (fmt, _ci) in enumerate(outs_list):
-                        code = out_codes_map.get(fmt)
-                        if code is None:
-                            code = len(out_codes_map)
-                            out_codes_map[fmt] = code
-                        ocol[oi] = code
+                    ocol = np.array(
+                        [out_codes_map.setdefault(fmt, len(out_codes_map))
+                         for fmt, _ci in outs_list], dtype=np.int64)
                     keys_g = np.hstack(
                         [keys_g, np.tile(ocol, n_combos)[:, None]])
                 ecosts.append(costs_g)
                 ekeys.append(keys_g)
-                eprov.append((projections, outs_list,
-                              np.repeat(combo_idx, n_outs),
-                              np.tile(np.arange(n_outs), n_combos)))
+                applied.append((in_fmts, outs_list))
+                group_projs.append(projections)
 
             if not ecosts:
                 raise OptimizationError(
@@ -553,16 +585,16 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
 
             all_costs = np.concatenate(ecosts)
             all_keys = np.vstack(ekeys)
-            group_sizes = [c.shape[0] for c in ecosts]
             cards = [len(d) for d in key_fmt_codes]
             inverse = _group_rows(all_keys, cards)
             _first, winner = _first_and_winner(inverse, all_costs)
             table_costs = all_costs[winner]
             table_keys = all_keys[winner]
-            stats.charge_phase("project", time.perf_counter() - mark)
+            now = time.perf_counter()
+            stats.charge_phase("project", now - mark)
+            mark = now
 
             if pruner is not None:
-                mark = time.perf_counter()
                 if len(table_costs) > 1 and new_members:
                     slot_fmt_lists = [tuple(d) for d in key_fmt_codes]
                     deltas = _slot_deltas(pruner.oracle, pruner.cache,
@@ -574,7 +606,9 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                         winner = winner[idx]
                         table_costs = table_costs[idx]
                         table_keys = table_keys[idx]
-                stats.charge_phase("prune", time.perf_counter() - mark)
+                now = time.perf_counter()
+                stats.charge_phase("prune", now - mark)
+                mark = now
 
             if max_states is not None and len(table_costs) > max_states:
                 stats.states_beamed += len(table_costs) - max_states
@@ -583,48 +617,41 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                 table_costs = table_costs[beam]
                 table_keys = table_keys[beam]
 
-            # Materialize states + back-pointers for the survivors only.
-            bounds = np.cumsum([0] + group_sizes)
-            states: list[State] = []
-            backs: list[_Back | None] = []
-            for entry in winner:
-                g = int(np.searchsorted(bounds, entry, side="right")) - 1
-                projections, outs_list, combo_of, out_of = eprov[g]
-                local = int(entry) - int(bounds[g])
-                combo = int(combo_of[local])
-                out_fmt, (_icost, impl) = outs_list[int(out_of[local])]
-                key_parts: list = []
-                prev = []
-                edge_choices: list = []
-                retired: list = []
+            # Integer back-pointers for the survivors.  Each pattern group
+            # contributed a combo-major block of (combo, output) candidates,
+            # and each combo's index mixes one projection entry per class.
+            bounds = np.cumsum([0] + [c.shape[0] for c in ecosts])
+            group_of = np.searchsorted(bounds, winner, side="right") - 1
+            local = winner - bounds[group_of]
+            prev = np.empty((len(winner), len(involved)), dtype=np.int64)
+            out_of = np.empty(len(winner), dtype=np.int64)
+            by_group = np.argsort(group_of, kind="stable")
+            cuts = np.searchsorted(group_of[by_group],
+                                   np.arange(len(applied) + 1))
+            for g, projections in enumerate(group_projs):
+                rows = by_group[cuts[g]:cuts[g + 1]]
+                combo, out_of[rows] = np.divmod(local[rows],
+                                                len(applied[g][1]))
                 stride = 1
-                for _cls, proj in projections:
-                    stride *= proj.sub_codes.shape[0]
-                for cls, proj in projections:
-                    stride //= proj.sub_codes.shape[0]
-                    e_j = (combo // stride) % proj.sub_codes.shape[0]
-                    key_parts.extend(proj.sub_fmts[e_j])
-                    full_state = cls.table.states[int(proj.full_idx[e_j])]
-                    prev.append((cls.cid, full_state))
-                    edge_choices.extend(proj.choices[e_j])
-                    retired.extend(proj.retired[e_j])
-                if v_survives:
-                    state: State = tuple(key_parts) + (out_fmt,)
-                    out_retired = tuple(retired)
-                else:
-                    state = tuple(key_parts)
-                    out_retired = tuple(retired) + ((vid, out_fmt),)
-                states.append(state)
-                backs.append(_Back(vid, impl, tuple(edge_choices), out_fmt,
-                                   tuple(prev), out_retired))
+                for proj in projections:
+                    stride *= proj.full_idx.shape[0]
+                for j, proj in enumerate(projections):
+                    size = proj.full_idx.shape[0]
+                    stride //= size
+                    prev[rows, j] = proj.full_idx[(combo // stride) % size]
 
+            step = _Step(vid, tuple(involved_cids),
+                         [edges_of_class[cid] for cid in involved_cids],
+                         applied)
             new_table = _ArrayTable(
-                states, table_costs, backs, table_keys,
-                tuple(tuple(d) for d in key_fmt_codes))
+                table_costs, table_keys,
+                tuple(tuple(d) for d in key_fmt_codes),
+                prev, group_of, out_of, step)
             cls = new_class(new_members, new_table)
             if not new_members:
-                completed.append((float(table_costs[0]), (cls.cid, ())))
+                completed.append((float(table_costs[0]), (cls.cid, 0)))
                 del active[cls.cid]
+            stats.charge_phase("beam", time.perf_counter() - mark)
         sweep_span.set(steps=len(stats.sweep_order),
                        states_examined=stats.states_examined,
                        states_pruned=stats.states_pruned,
@@ -639,7 +666,7 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
     mark = time.perf_counter()
     with tracer.span("reconstruct", kind="search-phase",
                      components=len(completed)):
-        annotation = _reconstruct(history, completed)
+        annotation = _reconstruct_rows(history, completed, ctx)
     stats.charge_phase("reconstruct", time.perf_counter() - mark)
     elapsed = time.perf_counter() - started
     return make_plan(graph, annotation, ctx, "frontier", elapsed,

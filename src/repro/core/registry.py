@@ -32,7 +32,7 @@ from .transforms import (
     DEFAULT_TRANSFORMS,
     FormatTransform,
     find_transform,
-    transform_cost_table,
+    transform_choice_table,
 )
 from .types import MatrixType
 
@@ -145,21 +145,38 @@ class OptimizerContext:
         ``search_transform_cost(mtype, srcs[i], dst)`` with ``None`` encoded
         as ``inf`` (so infeasible states fall out of a vectorized
         ``isfinite`` mask).  Costs come from one batched cost-model
-        evaluation (:func:`repro.core.transforms.transform_cost_table`) and
-        are bit-identical to the scalar path's.  Memoized per
-        ``(mtype, srcs, dst)`` — the vectorized frontier asks once per
-        (class slot, needed format) pair per sweep.
+        evaluation (:func:`repro.core.transforms.transform_choice_table`)
+        and are bit-identical to the scalar path's.  Memoized per
+        ``(mtype, srcs, dst)`` together with :meth:`transform_choice_vector`
+        — the vectorized frontier asks once per (class slot, needed format)
+        pair per sweep.
         """
+        return self._transform_vectors(mtype, srcs, dst)[0]
+
+    def transform_choice_vector(
+        self,
+        mtype: MatrixType,
+        srcs: tuple[PhysicalFormat, ...],
+        dst: PhysicalFormat,
+    ) -> tuple[FormatTransform | None, ...]:
+        """Batched :meth:`transform_choice` transformations: entry ``i`` is
+        ``transform_choice(mtype, srcs[i], dst)[0]``, or None where that is
+        None.  Indexed like :meth:`transform_cost_vector`, from the same
+        catalog lookup."""
+        return self._transform_vectors(mtype, srcs, dst)[1]
+
+    def _transform_vectors(self, mtype, srcs, dst):
         key = (mtype, srcs, dst)
         cached = self._transform_vec_cache.get(key)
         if cached is None:
-            costs = transform_cost_table(
+            costs, choices = transform_choice_table(
                 mtype, srcs, dst, self.cluster, self.transforms,
                 batch_cost=self.cost_model.batch_seconds)
-            cached = np.array(costs, dtype=np.float64)
+            vec = np.array(costs, dtype=np.float64)
             if not self.charge_transforms:
-                cached[np.isfinite(cached)] = 0.0
-            cached.setflags(write=False)
+                vec[np.isfinite(vec)] = 0.0
+            vec.setflags(write=False)
+            cached = (vec, tuple(choices))
             self._transform_vec_cache[key] = cached
         return cached
 

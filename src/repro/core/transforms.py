@@ -354,15 +354,15 @@ def find_transform(
     return best
 
 
-def transform_cost_table(
+def transform_choice_table(
     mtype: MatrixType,
     srcs: Sequence[PhysicalFormat],
     dst: PhysicalFormat,
     cluster: ClusterConfig,
     catalog: Sequence[FormatTransform] = DEFAULT_TRANSFORMS,
     batch_cost: "callable | None" = None,
-) -> "list[float]":
-    """Cheapest-transformation cost from each of ``srcs`` to ``dst``.
+) -> "tuple[list[float], list[FormatTransform | None]]":
+    """Cheapest transformation, and its cost, from each of ``srcs`` to ``dst``.
 
     The array-oriented counterpart of :func:`find_transform`, used by the
     vectorized frontier: instead of costing one ``(src, dst)`` pair at a
@@ -371,34 +371,37 @@ def transform_cost_table(
     :class:`CostFeatures` to an array of seconds — pass
     :meth:`repro.cost.CostModel.batch_seconds`).
 
-    Returns one cost per source format, ``math.inf`` where no catalog entry
-    applies or every applicable entry is infeasible — exactly the cases
-    where :func:`find_transform` (with the same cost function) returns
-    ``None`` or an infeasible winner.  Selection uses the same strict-``<``
-    first-wins rule over the same catalog order, so the returned minima are
-    bit-identical to the scalar path's.
+    Returns one cost and one transformation per source format: ``math.inf``
+    and ``None`` where no catalog entry applies or every applicable entry is
+    infeasible — exactly the cases where :func:`find_transform` (with the
+    same cost function) returns ``None`` or an infeasible winner.  Selection
+    uses the same strict-``<`` first-wins rule over the same catalog order,
+    so the returned minima and winners are bit-identical to the scalar
+    path's.
     """
     n = len(srcs)
     costs = [math.inf] * n
+    choices: list[FormatTransform | None] = [None] * n
     if not dst.admits(mtype):
-        return costs
+        return costs, choices
     feats: list[CostFeatures] = []
-    owner: list[int] = []
+    owner: list[tuple[int, FormatTransform]] = []
     for i, src in enumerate(srcs):
         if not src.admits(mtype):
             continue
         for transform in catalog:
             if transform.can_convert(mtype, src, dst):
                 feats.append(transform.features(mtype, src, dst, cluster))
-                owner.append(i)
+                owner.append((i, transform))
     if not feats:
-        return costs
+        return costs, choices
     if batch_cost is not None:
         seconds = batch_cost(feats)
     else:
         seconds = [f.network_bytes + f.intermediate_bytes + f.flops
                    for f in feats]
-    for i, cost in zip(owner, seconds):
+    for (i, transform), cost in zip(owner, seconds):
         if cost < costs[i]:
             costs[i] = float(cost)
-    return costs
+            choices[i] = transform
+    return costs, choices

@@ -6,7 +6,9 @@ brute-force enumeration on every one of them, with the dominance prune both
 on and off, and with the linear-time tree DP on tree-shaped graphs.  This
 is the harness the optimizer-perf CI job runs; the wide-DAG budget check at
 the bottom keeps the pruned search inside an absolute time budget on the
-worst-case shared-ancestor topology.
+worst-case shared-ancestor topology, and the perf-marked beam-1500 case
+re-checks the array frontier against the object oracle at the cold-planning
+benchmark's own setting.
 """
 
 import math
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+from repro.cluster import simsql_cluster
 from repro.core import ComputeGraph, OptimizerContext, matrix
 from repro.core.atoms import (
     ADD,
@@ -262,6 +265,24 @@ class TestArrayMatchesObject:
             for order in ORDERS:
                 _assert_array_matches_object(graph, ctx, prune=prune,
                                              order=order)
+
+    @pytest.mark.parametrize("name", ["fig05_ffnn", "fig09_inverse"])
+    def test_default_catalog_beamed(self, name):
+        """The cold-planning benchmark's search — default catalog, a
+        10-worker SimSQL cluster, a beam — at a tier-1-sized beam of 200."""
+        _assert_array_matches_object(
+            GOLDENS[name](), OptimizerContext(cluster=simsql_cluster(10)),
+            max_states=200)
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize("name", ["fig05_ffnn", "fig09_inverse"])
+def test_array_matches_object_at_benchmark_beam(name):
+    """The benchmark's exact search, beam 1500 included: the object
+    oracle takes several seconds per graph here."""
+    _assert_array_matches_object(
+        GOLDENS[name](), OptimizerContext(cluster=simsql_cluster(10)),
+        max_states=1500)
 
 
 @pytest.mark.perf

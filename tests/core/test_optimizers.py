@@ -34,6 +34,7 @@ from repro.core.formats import (
 )
 from repro.core.frontier import FrontierStats, optimize_dag
 from repro.core.tree_dp import OptimizationError, optimize_tree
+from repro.workloads import dag2_graph
 
 #: A small format catalog keeps brute force tractable in agreement tests.
 SMALL_FORMATS = (single(), tiles(1000), tiles(2000), row_strips(1000),
@@ -211,6 +212,17 @@ class TestFacade:
         g = _random_graph(11, depth=3, tree_only=True)
         with pytest.raises(ValueError, match="unknown frontier"):
             optimize(g, small_ctx(), frontier="quantum")
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
+    def test_invalid_max_states_rejected(self, bad):
+        """A beam of zero, a negative beam or a non-int beam names the knob
+        instead of failing deep inside the sweep (a bogus "no feasible
+        annotation", an IndexError or a slicing TypeError)."""
+        for frontier in ("array", "object"):
+            with pytest.raises(ValueError, match="max_states"):
+                optimize(dag2_graph(2), OptimizerContext(),
+                         algorithm="frontier", max_states=bad,
+                         frontier=frontier)
 
     def test_rewrites_typos_rejected_eagerly(self):
         """A mistyped ``rewrites=`` must fail like the other knobs — a
