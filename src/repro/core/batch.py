@@ -22,8 +22,8 @@ carry shared-subplan provenance (``batch_queries``/``shared_subplans`` in
 Correctness contract (enforced permanently by
 ``tests/core/test_batch_differential.py``): per-query numerics are
 ``allclose`` to independently optimized solo plans, the merged batch cost
-never exceeds the sum of solo costs, and the ``array`` and ``object``
-frontiers agree bit-identically on the merged DAG.
+never exceeds the sum of solo costs, and the merged plan is bit-identical
+to the per-state frontier oracle's plan for the merged DAG.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .fingerprint import subplan_fingerprint
 from .graph import ComputeGraph, Edge, VertexId
 from .optimizer import (ALGORITHMS, context_for_graph, optimize,
                         rewrite_stage)
-from .frontier import FRONTIERS
 from .profile import OptimizerProfile
 from .registry import OptimizerContext
 from .rewrites import RewriteSpec, validate_rewrites
@@ -198,8 +197,6 @@ def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
                    max_states: int | None = None,
                    rewrites: RewriteSpec = "none",
                    prune: bool | None = None,
-                   order: str = "class-size",
-                   frontier: str = "array",
                    tracer=None,
                    metrics=None) -> BatchPlan:
     """Jointly optimize N query graphs with cross-query sharing.
@@ -218,9 +215,6 @@ def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if frontier not in FRONTIERS:
-        raise ValueError(f"unknown frontier {frontier!r}; "
-                         f"expected one of {FRONTIERS}")
     validate_rewrites(rewrites)
     if ctx is None:
         ctx = OptimizerContext()
@@ -236,8 +230,7 @@ def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
     merged_plan = optimize(merged_graph, ctx, algorithm=algorithm,
                            timeout_seconds=timeout_seconds,
                            max_states=max_states, rewrites="none",
-                           prune=prune, order=order, frontier=frontier,
-                           tracer=tracer, metrics=metrics)
+                           prune=prune, tracer=tracer, metrics=metrics)
 
     shared = tuple(sorted(mv for mv, users in used_by.items()
                           if len(users) > 1))

@@ -164,9 +164,7 @@ def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
                         timeout_seconds: float | None = None,
                         max_states: int | None = None,
                         rewrites: RewriteSpec = "none",
-                        prune: bool | None = None,
-                        order: str = "class-size",
-                        frontier: str = "array") -> Fingerprint:
+                        prune: bool | None = None) -> Fingerprint:
     """Fingerprint one planning request.
 
     ``rewritten`` is the output of
@@ -191,11 +189,6 @@ def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
             "max_states": max_states,
             "rewrites": _rewrites_payload(rewrites),
             "prune": prune,
-            "order": order,
-            # The two frontier implementations produce bit-identical plans,
-            # but each request's profile must name the path that ran — so
-            # they cache separately.
-            "frontier": frontier,
         },
     }
     return Fingerprint(_digest(payload),

@@ -34,7 +34,7 @@ from .annotation import Plan
 from .brute import optimize_brute
 from .egraph import saturate_graph
 from .fingerprint import graph_signature
-from .frontier import FRONTIERS, FrontierStats, optimize_dag
+from .frontier import FrontierStats, optimize_dag
 from .graph import ComputeGraph
 from .registry import OptimizerContext
 from .rewrites import PipelineReport, PlanPipeline, RewriteSpec, \
@@ -60,10 +60,6 @@ def context_for_graph(graph: ComputeGraph, ctx: OptimizerContext
     return dataclasses.replace(ctx, formats=tuple(seen))
 
 
-#: Backwards-compatible alias for the pre-service private name.
-_context_for = context_for_graph
-
-
 def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
              algorithm: str = "auto",
              timeout_seconds: float | None = None,
@@ -71,8 +67,6 @@ def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
              max_states: int | None = None,
              rewrites: RewriteSpec = "none",
              prune: bool | None = None,
-             order: str = "class-size",
-             frontier: str = "array",
              tracer: Tracer | None = None,
              metrics: MetricsRegistry | None = None) -> Plan:
     """Produce the cost-optimal, type-correct annotated plan for ``graph``.
@@ -81,15 +75,11 @@ def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
     frontier algorithm), ``tree``, ``frontier`` or ``brute``.
     ``timeout_seconds`` only applies to brute force; ``max_states``
     beam-prunes the frontier algorithm's class tables (None = exact).
-    ``prune`` and ``order`` tune the frontier algorithm's lossless
-    dominance prune and sweep-order heuristic (see
-    :func:`repro.core.frontier.optimize_dag`); neither changes the
+    ``prune`` toggles the frontier algorithm's lossless dominance prune
+    (see :func:`repro.core.frontier.optimize_dag`); it never changes the
     returned plan.  ``prune=None`` (the default) prunes exactly when no
-    beam is active.  ``frontier`` selects the frontier algorithm's table
-    representation: ``"array"`` (vectorized, the default) or ``"object"``
-    (the per-state differential oracle) — bit-identical results, different
-    speed.  Unknown values raise ``ValueError`` up front, even when the
-    frontier algorithm would not run for this graph.
+    beam is active.  An unknown ``algorithm`` raises ``ValueError`` up
+    front.
 
     ``rewrites`` selects the logical rewrite engine that runs before the
     physical search: ``"pipeline"`` (alias ``"all"``, the default pass
@@ -106,11 +96,8 @@ def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"expected one of {ALGORITHMS}")
-    if frontier not in FRONTIERS:
-        raise ValueError(f"unknown frontier {frontier!r}; "
-                         f"expected one of {FRONTIERS}")
-    # Like the algorithm/frontier knobs above: a typo must fail here, not
-    # silently plan without rewrites.
+    # Like the algorithm knob above: a typo must fail here, not silently
+    # plan without rewrites.
     validate_rewrites(rewrites)
     if ctx is None:
         ctx = OptimizerContext()
@@ -123,8 +110,8 @@ def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
         plan = physical_plan(graph, rewritten, report, ctx,
                              algorithm=algorithm,
                              timeout_seconds=timeout_seconds, stats=stats,
-                             max_states=max_states, prune=prune, order=order,
-                             frontier=frontier, tracer=tracer)
+                             max_states=max_states, prune=prune,
+                             tracer=tracer)
         span.set(optimizer=plan.optimizer, seconds=plan.total_seconds)
 
     record_optimize_metrics(plan, metrics)
@@ -163,8 +150,6 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
                   stats: FrontierStats | None = None,
                   max_states: int | None = None,
                   prune: bool | None = None,
-                  order: str = "class-size",
-                  frontier: str = "array",
                   tracer: Tracer = NULL_TRACER) -> Plan:
     """Stage 2 + never-worse fallback over one rewritten graph.
 
@@ -184,7 +169,7 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
     """
     plan = _optimize_physical(rewritten, ctx, algorithm,
                               timeout_seconds, stats, max_states,
-                              prune, order, frontier, tracer)
+                              prune, tracer)
     if report is not None and report.total_rewrites > 0:
         signature = graph_signature(rewritten)[0]
         if report.engine == "egraph":
@@ -193,7 +178,7 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
             if graph_signature(pipe_graph)[0] != signature:
                 pipe_plan = _optimize_physical(
                     pipe_graph, ctx, algorithm, timeout_seconds, stats,
-                    max_states, prune, order, frontier, tracer)
+                    max_states, prune, tracer)
                 if pipe_plan.total_seconds < plan.total_seconds:
                     plan = pipe_plan
                     report = dataclasses.replace(
@@ -202,7 +187,7 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
         if graph_signature(graph)[0] != signature:
             plain = _optimize_physical(graph, ctx, algorithm,
                                        timeout_seconds, stats, max_states,
-                                       prune, order, frontier, tracer)
+                                       prune, tracer)
             if plain.total_seconds < plan.total_seconds:
                 plan = plain
                 report = dataclasses.replace(report, adopted=False,
@@ -250,8 +235,6 @@ def _optimize_physical(graph: ComputeGraph, ctx: OptimizerContext,
                        stats: FrontierStats | None,
                        max_states: int | None,
                        prune: bool | None = None,
-                       order: str = "class-size",
-                       frontier: str = "array",
                        tracer: Tracer = NULL_TRACER) -> Plan:
     """Stage 2: physical search over one (possibly rewritten) graph."""
     if algorithm == "auto":
@@ -263,8 +246,7 @@ def _optimize_physical(graph: ComputeGraph, ctx: OptimizerContext,
         elif algorithm == "frontier":
             plan = optimize_dag(graph, ctx, stats=stats,
                                 max_states=max_states, prune=prune,
-                                order=order, tracer=tracer,
-                                frontier=frontier)
+                                tracer=tracer)
         else:
             plan = optimize_brute(graph, ctx,
                                   timeout_seconds=timeout_seconds)

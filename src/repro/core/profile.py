@@ -38,11 +38,6 @@ class OptimizerProfile:
     #: :class:`repro.service.PlanCache` rather than searched afresh.  The
     #: counters above then describe the original cold run.
     cache_hit: bool = False
-    #: Which frontier-table implementation ran (``"array"`` / ``"object"``),
-    #: or None for non-frontier searches.  The two implementations report
-    #: identical state counters; only this tag and the wall-clock phase
-    #: timings tell them apart.
-    frontier: str | None = None
     #: Number of queries co-planned with this one by
     #: :func:`repro.core.batch.optimize_batch` (0 for solo requests).
     #: The search counters above then describe the one merged-DAG search
@@ -65,13 +60,14 @@ class OptimizerProfile:
             "sweep_order": list(self.sweep_order),
             "phase_seconds": dict(self.phase_seconds),
             "cache_hit": self.cache_hit,
-            "frontier": self.frontier,
             "batch_queries": self.batch_queries,
             "shared_subplans": list(self.shared_subplans),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OptimizerProfile":
+        """Unknown keys are ignored, so payloads written by older versions
+        (which also carried a ``"frontier"`` tag) still load."""
         return cls(
             algorithm=payload["algorithm"],
             states_explored=payload.get("states_explored", 0),
@@ -82,7 +78,6 @@ class OptimizerProfile:
             sweep_order=tuple(payload.get("sweep_order", ())),
             phase_seconds=dict(payload.get("phase_seconds", {})),
             cache_hit=payload.get("cache_hit", False),
-            frontier=payload.get("frontier"),
             batch_queries=payload.get("batch_queries", 0),
             shared_subplans=tuple(payload.get("shared_subplans", ())),
         )
@@ -98,16 +93,12 @@ class OptimizerProfile:
         metrics.count("optimizer.states_beamed", self.states_beamed)
         metrics.gauge("optimizer.peak_table_size", self.peak_table_size)
         metrics.gauge("optimizer.max_class_size", self.max_class_size)
-        if self.frontier is not None:
-            metrics.count(f"optimizer.frontier.{self.frontier}_runs")
 
     def describe(self) -> str:
         """Multi-line human-readable rendering."""
         served = " [served from plan cache]" if self.cache_hit else ""
-        algo = self.algorithm if self.frontier is None \
-            else f"{self.algorithm}/{self.frontier}"
         lines = [
-            f"optimizer profile ({algo}){served}: "
+            f"optimizer profile ({self.algorithm}){served}: "
             f"{self.states_explored} states explored, "
             f"{self.states_pruned} dominance-pruned, "
             f"{self.states_beamed} beam-dropped",

@@ -78,7 +78,7 @@ def resolve_engine(spec: RewriteSpec) -> tuple[str, RewriteSpec]:
 def validate_rewrites(spec: RewriteSpec) -> str:
     """Eagerly validate a ``rewrites=`` knob value; returns the engine.
 
-    ``resolve_scheduler`` and the ``frontier=`` knob reject unknown names
+    ``resolve_scheduler`` and the ``algorithm=`` knob reject unknown names
     at call time; this gives ``rewrites=`` the same contract.  Raises
     :class:`ValueError` for unrecognized engine strings, non-iterable
     values, and unknown pass names — *before* any search runs, so a typo

@@ -353,7 +353,8 @@ def execute_with_dynamics(
 
     with tracer.span("dynamics", kind="dynamics",
                      workers=timeline.num_workers,
-                     events=len(timeline.events)) as dyn_span:
+                     events=len(timeline.events)) as dyn_span, \
+            sched.session():
         while True:
             epoch_alive = sorted(view.alive)
             slot_of = {w: i for i, w in enumerate(epoch_alive)}

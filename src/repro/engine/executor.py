@@ -21,6 +21,7 @@ Both entry points drive the same lowered stage IR
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,36 @@ def simulate(plan: Plan, ctx: OptimizerContext,
 # ======================================================================
 # Real execution
 # ======================================================================
+class VertexValues(Mapping):
+    """Vertex id -> dense value of a finished run, assembled from the
+    run's stored matrices on first access.
+
+    Only the outputs are read by most callers; assembling every source
+    and intermediate up front would hold a second dense copy of all of
+    them for as long as the result lives.  An assembled value replaces
+    its stored form, so no vertex is held twice.
+    """
+
+    def __init__(self, stored: dict) -> None:
+        self._keys = tuple(stored)
+        self._stored = dict(stored)
+        self._dense: dict[VertexId, np.ndarray] = {}
+
+    def __getitem__(self, vid: VertexId) -> np.ndarray:
+        if vid not in self._dense:
+            self._dense[vid] = assemble(self._stored.pop(vid))
+        return self._dense[vid]
+
+    def __contains__(self, vid) -> bool:
+        return vid in self._dense or vid in self._stored
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of executing a plan on real data.
@@ -135,7 +166,7 @@ class ExecutionResult:
     """
 
     outputs: dict[str, np.ndarray]
-    vertex_values: dict[VertexId, np.ndarray]
+    vertex_values: Mapping[VertexId, np.ndarray]
     ledger: TrafficLedger
     ok: bool = True
     failure: str | None = None
@@ -267,8 +298,7 @@ class Executor:
 
         if self.store is not None:
             harvest_state(state, self.store, self.ledger)
-        stored = self.lineage.matrices
-        vertex_values = {vid: assemble(s) for vid, s in stored.items()}
+        vertex_values = VertexValues(self.lineage.matrices)
         outputs = {graph.vertex(v.vid).name: vertex_values[v.vid]
                    for v in graph.outputs}
         return ExecutionResult(outputs, vertex_values, self.ledger,

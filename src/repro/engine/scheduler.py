@@ -38,6 +38,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -537,6 +538,12 @@ class Scheduler:
         self.run_stages(state, [s.sid for s in state.sgraph.stages
                                 if s.sid not in state.completed])
 
+    def session(self):
+        """Context manager around a series of :meth:`run_stages` calls
+        (one per frontier in the dynamics driver) that lets a scheduler
+        keep expensive resources alive between them; a no-op here."""
+        return nullcontext()
+
     def run_stages(self, state: ExecutionState, sids) -> None:
         raise NotImplementedError
 
@@ -638,12 +645,35 @@ class ProcessPoolScheduler(Scheduler):
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max_workers
+        #: ``pool`` of the open :meth:`session`, per thread, so one
+        #: instance can serve concurrent runs.
+        self._session = threading.local()
+
+    @contextmanager
+    def session(self):
+        """Share one worker pool across every :meth:`run_stages` call made
+        inside the block, instead of starting and joining a pool per call.
+        Jobs are self-contained, so reusing workers changes no result."""
+        if getattr(self._session, "pool", None) is not None:
+            yield  # nested: the outer session owns the pool
+            return
+        self._session.pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        try:
+            yield
+        finally:
+            pool, self._session.pool = self._session.pool, None
+            pool.shutdown(wait=True)
 
     def run_stages(self, state: ExecutionState, sids) -> None:
+        if not sids:
+            return
+        with self.session():
+            self._run_stages(state, sids, self._session.pool)
+
+    def _run_stages(self, state: ExecutionState, sids,
+                    pool: ProcessPoolExecutor) -> None:
         stages = state.sgraph.stages
         todo = set(sids)
-        if not todo:
-            return
         waiting_on = {sid: sum(1 for d in stages[sid].deps if d in todo)
                       for sid in todo}
         dependents: dict[int, list[int]] = {sid: [] for sid in todo}
@@ -657,15 +687,15 @@ class ProcessPoolScheduler(Scheduler):
         base_events = (len(state.injector.events)
                        if state.injector is not None else 0)
 
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            running: dict = {}
+        running: dict = {}
 
-            def dispatch() -> None:
-                while ready and not failures:
-                    sid = ready.pop(0)
-                    running[pool.submit(_run_stage_job,
-                                        state.stage_job(stages[sid]))] = sid
+        def dispatch() -> None:
+            while ready and not failures:
+                sid = ready.pop(0)
+                running[pool.submit(_run_stage_job,
+                                    state.stage_job(stages[sid]))] = sid
 
+        try:
             dispatch()
             while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -689,6 +719,10 @@ class ProcessPoolScheduler(Scheduler):
                             ready.append(child)
                 ready.sort()
                 dispatch()
+        except BaseException:
+            # Let in-flight jobs finish, as the pool's shutdown used to.
+            wait(running)
+            raise
 
         # Deterministic fold: every outcome (including failed stages'
         # partial charges) merges in stage-id order, so the final state is
@@ -724,10 +758,10 @@ def resolve_scheduler(spec) -> Scheduler:
 
     ``None`` means the default (sequential); a :class:`Scheduler` instance
     passes through; a string resolves through the alias table
-    (``"sequential"``/``"seq"``, ``"thread-pool"``/``"threads"``,
-    ``"process-pool"``/``"processes"``).  Anything else raises a clear
-    ``ValueError`` up front — mirroring the ``rewrites=`` and ``frontier=``
-    knob handling — instead of failing deep inside a run.
+    (``"sequential"``/``"seq"``, ``"thread-pool"``/``"threads"``/
+    ``"thread"``, ``"process-pool"``/``"processes"``/``"process"``).
+    Anything else raises a clear ``ValueError`` up front — mirroring the
+    ``rewrites=`` knob handling — instead of failing deep inside a run.
     """
     if spec is None:
         return SequentialScheduler()

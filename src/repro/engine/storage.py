@@ -44,7 +44,11 @@ def _block_bounds(extent: int, block: int | None) -> list[tuple[int, int]]:
 
 def split(matrix: np.ndarray, mtype: MatrixType, fmt: PhysicalFormat,
           cluster: ClusterConfig) -> StoredMatrix:
-    """Store a dense numpy matrix (2-D) in ``fmt``."""
+    """Store a dense numpy matrix (2-D) in ``fmt``.
+
+    Dense blocks are read-only views of ``matrix`` (after any float64
+    conversion), so storing an input costs no second copy of its data.
+    """
     dense = np.asarray(matrix, dtype=np.float64)
     if dense.ndim == 1:
         dense = dense.reshape(1, -1)
@@ -75,7 +79,10 @@ def split(matrix: np.ndarray, mtype: MatrixType, fmt: PhysicalFormat,
             if fmt.is_sparse:
                 rows[(i, j)] = sp.csr_matrix(block)
             else:
-                rows[(i, j)] = block.copy()
+                # A read-only view, not a copy: the stored matrix shares
+                # the caller's buffer, and no kernel may write through it.
+                block.flags.writeable = False
+                rows[(i, j)] = block
     return StoredMatrix(mtype, fmt, Relation.load(cluster, rows))
 
 

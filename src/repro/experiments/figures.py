@@ -504,7 +504,6 @@ from .plan_cache import PLAN_CACHE_EXPERIMENTS  # noqa: E402 (registry tail)
 from .rewrites import REWRITE_EXPERIMENTS  # noqa: E402 (registry tail)
 from .robustness import ROBUSTNESS_EXPERIMENTS  # noqa: E402 (registry tail)
 from .scheduling import SCHEDULING_EXPERIMENTS  # noqa: E402 (registry tail)
-from .vectorized import VECTORIZED_EXPERIMENTS  # noqa: E402 (registry tail)
 
 EXPERIMENTS = {
     "fig01": fig01,
@@ -528,5 +527,4 @@ EXPERIMENTS = {
     **REWRITE_EXPERIMENTS,
     **ROBUSTNESS_EXPERIMENTS,
     **SCHEDULING_EXPERIMENTS,
-    **VECTORIZED_EXPERIMENTS,
 }

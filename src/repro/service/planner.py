@@ -32,10 +32,8 @@ import time
 from ..core.annotation import Plan
 from ..core.batch import BatchPlan
 from ..core.batch import optimize_batch as _optimize_batch
-from ..core.fingerprint import (Fingerprint, batch_fingerprint,
-                                request_fingerprint)
+from ..core.fingerprint import batch_fingerprint, request_fingerprint
 from ..core.graph import ComputeGraph
-from ..core.frontier import FRONTIERS
 from ..core.optimizer import (ALGORITHMS, context_for_graph, physical_plan,
                               record_optimize_metrics, rewrite_stage)
 from ..core.profile import OptimizerProfile
@@ -88,9 +86,7 @@ class PlannerService:
                  timeout_seconds: float | None = None,
                  max_states: int | None = None,
                  rewrites: RewriteSpec = "none",
-                 prune: bool | None = None,
-                 order: str = "class-size",
-                 frontier: str = "array") -> Plan:
+                 prune: bool | None = None) -> Plan:
         """Plan ``graph``, serving from the cache when possible.
 
         Accepts the same knobs as :func:`repro.core.optimizer.optimize`
@@ -103,9 +99,6 @@ class PlannerService:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; "
                              f"expected one of {ALGORITHMS}")
-        if frontier not in FRONTIERS:
-            raise ValueError(f"unknown frontier {frontier!r}; "
-                             f"expected one of {FRONTIERS}")
         ctx = self.resolve_context(graph, ctx)
         with self.tracer.span("optimize", kind="optimize",
                               algorithm=algorithm,
@@ -115,8 +108,7 @@ class PlannerService:
             fp = request_fingerprint(
                 graph, rewritten, ctx, algorithm=algorithm,
                 timeout_seconds=timeout_seconds, max_states=max_states,
-                rewrites=rewrites, prune=prune, order=order,
-                frontier=frontier)
+                rewrites=rewrites, prune=prune)
             span.set(fingerprint=fp.short())
             self._count("planner.requests")
             self.requests += 1
@@ -138,7 +130,6 @@ class PlannerService:
                                      algorithm=algorithm,
                                      timeout_seconds=timeout_seconds,
                                      max_states=max_states, prune=prune,
-                                     order=order, frontier=frontier,
                                      tracer=self.tracer)
                 elapsed = time.perf_counter() - started
                 evicted = self.cache.put(fp, plan, optimize_seconds=elapsed)
@@ -163,9 +154,7 @@ class PlannerService:
                        timeout_seconds: float | None = None,
                        max_states: int | None = None,
                        rewrites: RewriteSpec = "none",
-                       prune: bool | None = None,
-                       order: str = "class-size",
-                       frontier: str = "array") -> BatchPlan:
+                       prune: bool | None = None) -> BatchPlan:
         """Jointly plan ``graphs`` (see :func:`repro.core.batch.optimize_batch`),
         serving repeated batches from the cache.
 
@@ -184,9 +173,6 @@ class PlannerService:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; "
                              f"expected one of {ALGORITHMS}")
-        if frontier not in FRONTIERS:
-            raise ValueError(f"unknown frontier {frontier!r}; "
-                             f"expected one of {FRONTIERS}")
         validate_rewrites(rewrites)
         base_ctx = ctx if ctx is not None else self.ctx
         with self.tracer.span("optimize-batch", kind="optimize",
@@ -199,8 +185,7 @@ class PlannerService:
                 member_fps.append(request_fingerprint(
                     graph, rewritten, qctx, algorithm=algorithm,
                     timeout_seconds=timeout_seconds, max_states=max_states,
-                    rewrites=rewrites, prune=prune, order=order,
-                    frontier=frontier))
+                    rewrites=rewrites, prune=prune))
             fp = batch_fingerprint(member_fps)
             span.set(fingerprint=fp.short())
             self._count("planner.batch.requests")
@@ -220,8 +205,7 @@ class PlannerService:
                 batch = _optimize_batch(
                     graphs, base_ctx, algorithm=algorithm,
                     timeout_seconds=timeout_seconds, max_states=max_states,
-                    rewrites=rewrites, prune=prune, order=order,
-                    frontier=frontier, tracer=self.tracer)
+                    rewrites=rewrites, prune=prune, tracer=self.tracer)
                 evicted = self.cache.put(
                     fp, batch, optimize_seconds=batch.optimize_seconds)
                 with self._metrics_lock:

@@ -42,7 +42,6 @@ def sweep_workers(
     workers: Sequence[int],
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     tracer=None,
     planner: PlannerService | None = None,
 ) -> list[SweepPoint]:
@@ -53,9 +52,7 @@ def sweep_workers(
     :class:`~repro.service.PlannerService` — pass ``planner`` to share
     one across sweeps (each (workload, cluster size) point is cached, so
     overlapping sweeps and previews re-use plans); otherwise a throwaway
-    service is created.  ``frontier`` picks the frontier-table
-    implementation (``"array"``/``"object"`` — identical plans, different
-    planning speed).  With a ``tracer``, each point records a
+    service is created.  With a ``tracer``, each point records a
     ``sweep-point`` span with the nested ``optimize`` span tree inside it.
     """
     from ..obs.tracer import as_tracer
@@ -70,8 +67,7 @@ def sweep_workers(
                          workers=count) as span:
             try:
                 plan = planner.optimize(graph, ctx, max_states=max_states,
-                                        rewrites=rewrites,
-                                        frontier=frontier)
+                                        rewrites=rewrites)
                 seconds = plan.total_seconds
             except Exception:
                 plan = None
@@ -88,7 +84,6 @@ def recommend_workers(
     candidates: Sequence[int] = (2, 5, 10, 20, 40, 80),
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> SweepPoint | None:
     """Smallest candidate cluster whose optimized plan meets the target.
@@ -98,7 +93,7 @@ def recommend_workers(
     """
     for point in sweep_workers(graph, profile, sorted(candidates),
                                max_states=max_states, rewrites=rewrites,
-                               frontier=frontier, planner=planner):
+                               planner=planner):
         if point.feasible and point.seconds <= target_seconds:
             return point
     return None
@@ -120,7 +115,6 @@ def format_family_contributions(
     catalog: tuple[PhysicalFormat, ...] = DEFAULT_FORMATS,
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> tuple[float, list[FormatContribution]]:
     """How much each format family matters for this computation.
@@ -135,7 +129,7 @@ def format_family_contributions(
         planner = PlannerService()
     base_ctx = OptimizerContext(cluster=cluster, formats=catalog)
     base = planner.optimize(graph, base_ctx, max_states=max_states,
-                            rewrites=rewrites, frontier=frontier)
+                            rewrites=rewrites)
     protected = {s.format.layout for s in graph.sources}
 
     contributions = []
@@ -146,7 +140,7 @@ def format_family_contributions(
         ctx = OptimizerContext(cluster=cluster, formats=subset)
         try:
             plan = planner.optimize(graph, ctx, max_states=max_states,
-                                    rewrites=rewrites, frontier=frontier)
+                                    rewrites=rewrites)
             seconds = plan.total_seconds
             slowdown = seconds / base.total_seconds
         except Exception:
@@ -180,7 +174,6 @@ def chaos_preview(
     workers: Sequence[int],
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> list[ChaosPreviewPoint]:
     """What losing one worker costs, before it happens.
@@ -204,8 +197,8 @@ def chaos_preview(
             ctx = OptimizerContext(cluster=profile(n))
             try:
                 seconds.append(planner.optimize(
-                    graph, ctx, max_states=max_states, rewrites=rewrites,
-                    frontier=frontier).total_seconds)
+                    graph, ctx, max_states=max_states,
+                    rewrites=rewrites).total_seconds)
             except Exception:
                 seconds.append(math.inf)
         points.append(ChaosPreviewPoint(count, seconds[0], seconds[1]))
@@ -263,7 +256,6 @@ def compare_batch(
     ctx: OptimizerContext | None = None,
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> BatchComparison:
     """Plan each graph alone and all of them as one batch; compare.
@@ -276,10 +268,10 @@ def compare_batch(
     if planner is None:
         planner = PlannerService()
     solo = [planner.optimize(g, ctx, max_states=max_states,
-                             rewrites=rewrites, frontier=frontier)
+                             rewrites=rewrites)
             for g in graphs]
     batch = planner.optimize_batch(graphs, ctx, max_states=max_states,
-                                   rewrites=rewrites, frontier=frontier)
+                                   rewrites=rewrites)
     return BatchComparison(
         names=tuple(names),
         solo_seconds=tuple(p.total_seconds for p in solo),
@@ -388,12 +380,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "the shared rule table, or off")
     parser.add_argument("--no-rewrites", action="store_true",
                         help="legacy alias for --rewrites off")
-    parser.add_argument("--frontier", choices=("array", "object"),
-                        default="array",
-                        help="frontier-table implementation: vectorized "
-                             "numpy tables (default) or the per-state "
-                             "object oracle — identical plans, different "
-                             "planning speed")
     parser.add_argument("--profile", action="store_true",
                         help="print the optimizer search-effort profile "
                              "(states explored/pruned, table sizes, phase "
@@ -441,7 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     service = PlannerService(tracer=tracer)
     points = sweep_workers(graph, DEFAULT_CLUSTER.with_workers, counts,
                            max_states=max_states, rewrites=rewrites,
-                           frontier=args.frontier, tracer=tracer,
+                           tracer=tracer,
                            planner=service)
     print(f"workload {args.workload}: {len(graph)} vertices, "
           f"rewrites={rewrites}")
@@ -488,14 +474,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             cluster=DEFAULT_CLUSTER.with_workers(counts[0]))
         cmp = compare_batch(batch_graphs, batch_names, batch_ctx,
                             max_states=max_states, rewrites=rewrites,
-                            frontier=args.frontier, planner=service)
+                            planner=service)
         print(f"batch of {len(batch_graphs)} queries at {counts[0]} "
               "workers (solo vs co-planned):")
         print(render_batch(cmp))
     if args.chaos:
         preview = chaos_preview(graph, DEFAULT_CLUSTER.with_workers, counts,
                                 max_states=max_states, rewrites=rewrites,
-                                frontier=args.frontier, planner=service)
+                                planner=service)
         if preview:
             print("chaos preview (one worker lost, plan re-optimized):")
             print(render_chaos_preview(preview))
@@ -506,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         best = recommend_workers(graph, DEFAULT_CLUSTER.with_workers,
                                  args.target, counts,
                                  max_states=max_states, rewrites=rewrites,
-                                 frontier=args.frontier, planner=service)
+                                 planner=service)
         if best is None:
             print(f"no swept cluster meets {args.target:.1f}s")
         else:

@@ -7,8 +7,10 @@ on every one of them:
 
 * **never worse**: the merged batch plan's predicted cost never exceeds
   the sum of independently optimized solo plans;
-* **frontier identity**: the ``array`` and ``object`` frontier tables
-  produce bit-identical merged plans (exact ``==``, no tolerance);
+* **frontier identity**: whenever the merged DAG takes the frontier path,
+  its plan is bit-identical (exact ``==``, no tolerance) to the per-state
+  oracle of ``frontier_oracle.py`` run on the merged DAG under the same
+  context;
 * **numerics**: executing a batch member's per-query plan — and
   splitting the merged plan's execution per query — is ``allclose`` to
   executing its solo plan.
@@ -23,12 +25,13 @@ import random
 
 import numpy as np
 import pytest
+from frontier_oracle import optimize_dag_object
 
 from repro.core import ComputeGraph, OptimizerContext, matrix
 from repro.core.atoms import ADD, ELEM_MUL, MATMUL, RELU, SUB, TRANSPOSE
 from repro.core.batch import merge_graphs, optimize_batch
 from repro.core.formats import row_strips, single, tiles
-from repro.core.optimizer import optimize
+from repro.core.optimizer import context_for_graph, optimize
 from repro.engine.executor import execute_plan
 from repro.workloads import amazoncat_config, ffnn_forward, ffnn_full_step
 
@@ -109,25 +112,23 @@ class TestBatchDifferential:
             graphs = random_batch(seed, nq, inner, sharing)
             solo = [optimize(g, ctx) for g in graphs]
             solo_total = sum(p.total_seconds for p in solo)
-            ba = optimize_batch(graphs, ctx, frontier="array")
-            bo = optimize_batch(graphs, ctx, frontier="object")
+            ba = optimize_batch(graphs, ctx)
 
             # Never worse: sharing can only remove work.
             assert ba.merged.total_seconds <= solo_total * (1 + 1e-9), \
                 f"seed={seed}: batch plan worse than solo sum"
 
-            # Array vs object frontier: exact equality, not approx.
-            assert ba.merged.total_seconds == bo.merged.total_seconds
-            assert ba.merged.cost.vertex_formats == \
-                bo.merged.cost.vertex_formats
-            assert ba.merged.annotation.impls == bo.merged.annotation.impls
-            assert ba.merged.annotation.transforms == \
-                bo.merged.annotation.transforms
-            assert ba.cse_hits == bo.cse_hits
-            assert ba.shared_vertices == bo.shared_vertices
-            for qa, qo in zip(ba.queries, bo.queries):
-                assert qa.plan.total_seconds == qo.plan.total_seconds
-                assert qa.plan.annotation.impls == qo.plan.annotation.impls
+            # Search vs per-state oracle: exact equality, not approx.
+            if ba.merged.optimizer == "frontier":
+                merged = ba.merged.graph
+                bo = optimize_dag_object(merged,
+                                         context_for_graph(merged, ctx))
+                assert ba.merged.total_seconds == bo.total_seconds
+                assert ba.merged.cost.vertex_formats == \
+                    bo.cost.vertex_formats
+                assert ba.merged.annotation.impls == bo.annotation.impls
+                assert ba.merged.annotation.transforms == \
+                    bo.annotation.transforms
 
             # Every per-query plan must be independently executable:
             # costing it proves impls/transforms cover the whole graph.
@@ -222,8 +223,6 @@ class TestBatchStructure:
         graphs = random_batch(7, 2, inner=2, sharing=0.5)
         with pytest.raises(ValueError, match="unknown algorithm"):
             optimize_batch(graphs, algorithm="fastest")
-        with pytest.raises(ValueError, match="unknown frontier"):
-            optimize_batch(graphs, frontier="arry")
         with pytest.raises(ValueError, match="rewrites"):
             optimize_batch(graphs, rewrites="pipelin")
 

@@ -6,8 +6,9 @@ brute-force enumeration on every one of them, with the dominance prune both
 on and off, and with the linear-time tree DP on tree-shaped graphs.  This
 is the harness the optimizer-perf CI job runs; the wide-DAG budget check at
 the bottom keeps the pruned search inside an absolute time budget on the
-worst-case shared-ancestor topology, and the perf-marked beam-1500 case
-re-checks the array frontier against the object oracle at the cold-planning
+worst-case shared-ancestor topology.  ``TestArrayMatchesObject`` checks the
+numpy-table search against the per-state oracle of ``frontier_oracle.py``,
+and the perf-marked beam-1500 case re-checks it at the cold-planning
 benchmark's own setting.
 """
 
@@ -15,6 +16,7 @@ import math
 import random
 
 import pytest
+from frontier_oracle import optimize_dag_object
 
 from repro.cluster import simsql_cluster
 from repro.core import ComputeGraph, OptimizerContext, matrix
@@ -28,7 +30,7 @@ from repro.core.atoms import (
 )
 from repro.core.brute import optimize_brute
 from repro.core.formats import col_strips, row_strips, single, tiles
-from repro.core.frontier import ORDERS, FrontierStats, optimize_dag
+from repro.core.frontier import FrontierStats, optimize_dag
 from repro.core.tree_dp import optimize_tree
 from repro.workloads import (
     AttentionConfig,
@@ -201,16 +203,15 @@ GOLDENS = {
 
 
 def _assert_array_matches_object(graph, ctx, **kwargs):
-    """Run both frontier-table implementations; everything must be
+    """Run the search and its per-state oracle; everything must be
     bit-identical: the plan (exact ``==`` on cost, no tolerance), the
     search-effort counters, and the attached profile."""
-    runs = {}
-    for frontier in ("array", "object"):
+    runs = []
+    for search in (optimize_dag, optimize_dag_object):
         stats = FrontierStats()
-        plan = optimize_dag(graph, ctx, stats=stats, frontier=frontier,
-                            **kwargs)
-        runs[frontier] = (plan, stats)
-    (a_plan, a_stats), (o_plan, o_stats) = runs["array"], runs["object"]
+        plan = search(graph, ctx, stats=stats, **kwargs)
+        runs.append((plan, stats))
+    (a_plan, a_stats), (o_plan, o_stats) = runs
     assert a_plan.total_seconds == o_plan.total_seconds  # exact, not approx
     assert a_plan.cost.vertex_formats == o_plan.cost.vertex_formats
     assert a_plan.annotation.impls == o_plan.annotation.impls
@@ -219,7 +220,6 @@ def _assert_array_matches_object(graph, ctx, **kwargs):
                   "max_table_size", "max_class_size", "sweep_order"):
         assert getattr(a_stats, field) == getattr(o_stats, field), field
     pa, po = a_plan.profile, o_plan.profile
-    assert (pa.frontier, po.frontier) == ("array", "object")
     assert (pa.states_explored, pa.states_pruned, pa.states_beamed,
             pa.peak_table_size, pa.max_class_size, pa.sweep_order) == \
            (po.states_explored, po.states_pruned, po.states_beamed,
@@ -227,8 +227,8 @@ def _assert_array_matches_object(graph, ctx, **kwargs):
 
 
 class TestArrayMatchesObject:
-    """``frontier="array"`` vs the per-state object oracle: bit-identical
-    plans and profile state counts, never merely close ones."""
+    """``optimize_dag`` vs the per-state oracle: bit-identical plans and
+    profile state counts, never merely close ones."""
 
     @pytest.mark.parametrize("batch,inner,fanin,sharing", DAG_CASES)
     def test_random_dags(self, batch, inner, fanin, sharing):
@@ -253,18 +253,14 @@ class TestArrayMatchesObject:
         graph = FAMILIES[name]()
         ctx = OptimizerContext(formats=FAMILY_CATALOG)
         for prune in (True, False):
-            for order in ORDERS:
-                _assert_array_matches_object(graph, ctx, prune=prune,
-                                             order=order)
+            _assert_array_matches_object(graph, ctx, prune=prune)
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_figure_goldens(self, name):
         graph = GOLDENS[name]()
         ctx = OptimizerContext(formats=FAMILY_CATALOG)
         for prune in (True, False):
-            for order in ORDERS:
-                _assert_array_matches_object(graph, ctx, prune=prune,
-                                             order=order)
+            _assert_array_matches_object(graph, ctx, prune=prune)
 
     @pytest.mark.parametrize("name", ["fig05_ffnn", "fig09_inverse"])
     def test_default_catalog_beamed(self, name):

@@ -199,30 +199,14 @@ class TestFacade:
         with pytest.raises(ValueError):
             optimize(g, small_ctx(), algorithm="quantum")
 
-    def test_unknown_frontier_rejected(self):
-        g = _random_graph(2, depth=2)
-        with pytest.raises(ValueError, match="unknown frontier"):
-            optimize(g, small_ctx(), frontier="bogus")
-        with pytest.raises(ValueError, match="unknown frontier"):
-            optimize_dag(g, small_ctx(), frontier="bogus")
-
-    def test_unknown_frontier_rejected_even_off_the_frontier_path(self):
-        """The knob is validated up front, not lazily: a tree-shaped graph
-        that would dispatch to the tree DP still rejects a bad value."""
-        g = _random_graph(11, depth=3, tree_only=True)
-        with pytest.raises(ValueError, match="unknown frontier"):
-            optimize(g, small_ctx(), frontier="quantum")
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_invalid_max_states_rejected(self, bad):
         """A beam of zero, a negative beam or a non-int beam names the knob
         instead of failing deep inside the sweep (a bogus "no feasible
         annotation", an IndexError or a slicing TypeError)."""
-        for frontier in ("array", "object"):
-            with pytest.raises(ValueError, match="max_states"):
-                optimize(dag2_graph(2), OptimizerContext(),
-                         algorithm="frontier", max_states=bad,
-                         frontier=frontier)
+        with pytest.raises(ValueError, match="max_states"):
+            optimize(dag2_graph(2), OptimizerContext(),
+                     algorithm="frontier", max_states=bad)
 
     def test_rewrites_typos_rejected_eagerly(self):
         """A mistyped ``rewrites=`` must fail like the other knobs — a
@@ -237,17 +221,6 @@ class TestFacade:
                 optimize(g, small_ctx(), rewrites=bad)
         with pytest.raises(ValueError):  # unknown pass name in an iterable
             optimize(g, small_ctx(), rewrites=("no_such_pass",))
-
-    def test_frontier_knob_selects_implementation(self):
-        g = ComputeGraph()
-        a = g.add_source("A", matrix(100, 100), single())
-        t = g.add_op("T", TRANSPOSE, (a,))
-        g.add_op("S", ADD, (t, t))
-        arr = optimize(g, small_ctx(), frontier="array")
-        obj = optimize(g, small_ctx(), frontier="object")
-        assert arr.profile.frontier == "array"
-        assert obj.profile.frontier == "object"
-        assert arr.total_seconds == obj.total_seconds
 
     def test_source_formats_extend_catalog(self):
         """A source loaded in a non-catalog format can be consumed

@@ -1,11 +1,11 @@
 """Property test: the vectorized dominance mask vs the pairwise oracle.
 
-:func:`repro.core.frontier_array._prune_rows` is the vectorized twin of the
-object path's :func:`repro.core.frontier._dominance_prune`: rank candidates
-by cost (stable, so insertion order breaks ties), let each of the first
-:data:`~repro.core.frontier.DOMINANCE_COMPARISONS` *kept* states mark every
-later candidate whose cost strictly exceeds the kept cost plus the summed
-per-slot Δ bounds.  This suite drives both over randomly generated cost
+:func:`repro.core.frontier._prune_rows` is the vectorized twin of the
+per-state oracle's ``_dominance_prune`` (``frontier_oracle.py``): rank
+candidates by cost (stable, so insertion order breaks ties), let each of
+the first :data:`~repro.core.frontier.DOMINANCE_COMPARISONS` *kept* states
+mark every later candidate whose cost strictly exceeds the kept cost plus
+the summed per-slot Δ bounds.  This suite drives both over randomly generated cost
 tables and Δ-matrices — with deliberately tie-rich costs drawn from a tiny
 grid, ``inf`` gaps, and zero diagonals — and demands the exact same keep
 set, in the same order, with the same ``states_pruned`` accounting.
@@ -17,8 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import DOMINANCE_COMPARISONS, FrontierStats
-from repro.core.frontier_array import _prune_rows
+from repro.core.frontier import DOMINANCE_COMPARISONS, FrontierStats, \
+    _prune_rows
 
 #: Tie-rich cost grid: a handful of values so equal costs (and therefore
 #: insertion-order tie-breaks) occur in nearly every generated table.
@@ -29,7 +29,7 @@ DELTA_GRID = [0.0, 0.25, 1.0, math.inf]
 
 
 def pairwise_oracle(costs, codes, slot_deltas):
-    """The object path's pairwise loop, re-stated over array inputs.
+    """The per-state oracle's pairwise loop, re-stated over array inputs.
 
     Returns ``(keep_mask, dropped_count)``.  Candidates are visited in
     stable cost order (``sorted`` is stable, so equal costs keep their
@@ -135,7 +135,7 @@ class TestTiesAndInsertionOrder:
     def test_survivors_keep_original_order(self):
         """The mask is over rows in their original order — the caller's
         filtered table preserves insertion order, exactly like filtering
-        the object path's dict."""
+        the per-state oracle's dict."""
         # Rows: cheap (kept), expensive same-format (dominated), and an
         # unreachable-format row (kept: inf gap voids the bound).
         costs = np.array([2.0, 1.0, 3.0, 2.5])

@@ -81,16 +81,6 @@ def test_prune_is_lossless_on_workload(name):
         assert pruned_stats.states_examined == plain_stats.states_examined
 
 
-@pytest.mark.parametrize("order", ["class-size", "table-size"])
-def test_orders_agree_on_cost(order):
-    """Both sweep-order heuristics are exact: identical optimal cost."""
-    graph = wide_shared_dag(3, 3)
-    base = optimize_dag(graph, _ctx(), order="class-size")
-    other = optimize_dag(graph, _ctx(), order=order)
-    assert math.isclose(base.total_seconds, other.total_seconds,
-                        rel_tol=1e-9)
-
-
 def test_profile_attached_and_consistent():
     """Plans carry an OptimizerProfile whose counters match the stats."""
     graph = attention_graph(AttentionConfig())

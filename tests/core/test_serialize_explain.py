@@ -90,6 +90,16 @@ class TestPlanRoundTrip:
         rebuilt = plan_from_json(plan_to_json(plan), ctx)
         assert rebuilt.profile == plan.profile
 
+    def test_profile_payloads_with_a_frontier_tag_still_load(self):
+        """Older plan payloads tagged the profile with the frontier-table
+        implementation that ran; the tag is ignored on load."""
+        plan, ctx = _plan_and_ctx()
+        payload = json.loads(plan_to_json(plan))
+        assert "frontier" not in payload["profile"]
+        payload["profile"]["frontier"] = "array"
+        rebuilt = plan_from_json(json.dumps(payload), ctx)
+        assert rebuilt.profile == plan.profile
+
     def test_cache_hit_flag_round_trips(self):
         import dataclasses
 

@@ -262,3 +262,50 @@ class TestSimulation:
         assert format_hms(59) == "0:59"
         assert format_hms(61) == "1:01"
         assert format_hms(3601) == "1:00:01"
+
+
+class TestMemoryFootprint:
+    def test_split_stores_read_only_views(self):
+        from repro.engine.storage import assemble, split
+
+        x = RNG.standard_normal((48, 32))
+        stored = split(x, matrix(48, 32), tiles(16), CTX.cluster)
+        assert len(stored.relation.rows) == 6
+        for block in stored.relation.rows.values():
+            assert np.shares_memory(block, x)
+            assert not block.flags.writeable
+        assert x.flags.writeable
+        np.testing.assert_array_equal(assemble(stored), x)
+
+    def test_kernels_never_write_into_inputs(self):
+        g = ComputeGraph()
+        a = g.add_source("A", matrix(40, 30), tiles(10))
+        b = g.add_source("B", matrix(30, 20), row_strips(10))
+        g.add_op("C", RELU, (g.add_op("AB", MATMUL, (a, b)),))
+        inputs = {"A": RNG.standard_normal((40, 30)),
+                  "B": RNG.standard_normal((30, 20))}
+        before = {k: v.copy() for k, v in inputs.items()}
+        result, _ = _run(g, inputs, max_states=200)
+        assert result.ok
+        for name, value in inputs.items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_vertex_values_assemble_on_first_access(self):
+        g = ComputeGraph()
+        g.add_op("OUT", MATMUL,
+                 (g.add_source("A", matrix(40, 30), tiles(10)),
+                  g.add_source("B", matrix(30, 20), single())))
+        inputs = {"A": RNG.standard_normal((40, 30)),
+                  "B": RNG.standard_normal((30, 20))}
+        result, plan = _run(g, inputs, max_states=200)
+        vid = {plan.graph.vertex(v).name: v for v in plan.graph.vertex_ids}
+        a, out = vid["A"], vid["OUT"]
+        values = result.vertex_values
+        assert set(values) == set(plan.graph.vertex_ids)
+        assert len(values) == len(plan.graph.vertex_ids)
+        assert a in values and -1 not in values
+        assert values[out] is result.outputs["OUT"]
+        np.testing.assert_array_equal(values[a], inputs["A"])
+        assert values[a] is values[a]
+        with pytest.raises(KeyError):
+            values[-1]

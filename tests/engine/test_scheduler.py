@@ -5,8 +5,10 @@ completion order (and, for processes, fault draws are pure functions of
 ``(seed, stage name, occurrence)``, never of process-local state)."""
 
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.atoms import (
 )
 from repro.core.formats import row_strips, single, sparse_single, tiles
 from repro.engine import execute_plan
+from repro.engine.dynamics import execute_with_dynamics
 from repro.engine.faults import (
     FaultConfig,
     FaultPlan,
@@ -36,12 +39,14 @@ from repro.engine.faults import (
     as_injector,
 )
 from repro.engine.ledger import EngineFailure
+from repro.engine.membership import WorkerTimeline
 from repro.engine.recovery import (
     FaultRetriesExhausted,
     RecoveryPolicy,
     SpeculationPolicy,
 )
 from repro.engine.scheduler import (
+    _SCHEDULER_ALIASES,
     SCHEDULERS,
     ProcessPoolScheduler,
     SequentialScheduler,
@@ -298,9 +303,9 @@ class TestMetricsEquivalence:
 
 
 class TestSchedulerKnob:
-    """``resolve_scheduler`` mirrors the ``rewrites=`` / ``frontier=`` knob
-    contract: strings resolve through an alias table, instances pass
-    through, anything else raises a clear ``ValueError``."""
+    """``resolve_scheduler`` mirrors the ``rewrites=`` knob contract:
+    strings resolve through an alias table, instances pass through,
+    anything else raises a clear ``ValueError``."""
 
     def test_default_is_sequential(self):
         assert isinstance(resolve_scheduler(None), SequentialScheduler)
@@ -326,6 +331,19 @@ class TestSchedulerKnob:
         for name in SCHEDULERS:
             assert resolve_scheduler(name).name == name
 
+    def test_documented_names_resolve(self):
+        """docs/execution.md's "Selection" paragraph quotes exactly the
+        alias table's names, and every one of them resolves."""
+        doc = (Path(__file__).resolve().parents[2] / "docs"
+               / "execution.md").read_text()
+        paragraph = re.search(r"^Selection:.*?(?=\n\n)", doc,
+                              re.S | re.M).group(0)
+        names = re.findall(r'`"([^"`]+)"`', paragraph)
+        assert sorted(names) == sorted(_SCHEDULER_ALIASES)
+        for name in names:
+            assert isinstance(resolve_scheduler(name),
+                              _SCHEDULER_ALIASES[name])
+
     def test_unknown_string_raises(self):
         with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
             resolve_scheduler("bogus")
@@ -340,6 +358,50 @@ class TestSchedulerKnob:
         plan = optimize(graph, ctx, max_states=200)
         with pytest.raises(ValueError, match="unknown scheduler"):
             execute_plan(plan, inputs, ctx, scheduler="quantum")
+
+
+class TestProcessPoolSession:
+    @pytest.fixture
+    def pools_started(self, monkeypatch):
+        """Counts the worker pools the process-pool scheduler starts."""
+        import repro.engine.scheduler as scheduler_module
+
+        started = []
+        real = scheduler_module.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            started.append(real(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", counting)
+        return started
+
+    def test_session_shares_one_pool_across_runs(self, pools_started):
+        graph, inputs = _diamond()
+        ctx = OptimizerContext()
+        plan = optimize(graph, ctx, max_states=200)
+        seq = execute_plan(plan, inputs, ctx, scheduler=SequentialScheduler())
+        sched = ProcessPoolScheduler(max_workers=2)
+        with sched.session():
+            runs = [execute_plan(plan, inputs, ctx, scheduler=sched)
+                    for _ in range(2)]
+        assert len(pools_started) == 1
+        for run in runs:
+            _assert_equivalent(seq, run)
+        # Outside a session every run starts (and joins) its own pool.
+        assert execute_plan(plan, inputs, ctx, scheduler=sched).ok
+        assert len(pools_started) == 2
+
+    def test_dynamics_runs_every_frontier_in_one_pool(self, pools_started):
+        graph, inputs = _diamond()
+        ctx = OptimizerContext(cluster=ClusterConfig(num_workers=3))
+        plan = optimize(graph, ctx, max_states=200)
+        assert len(lower(plan, ctx).frontiers()) > 1
+        res = execute_with_dynamics(plan, inputs, ctx,
+                                    WorkerTimeline(3, []),
+                                    scheduler=ProcessPoolScheduler(2))
+        assert res.ok
+        assert len(pools_started) == 1
 
 
 class TestProcessPoolPickling:

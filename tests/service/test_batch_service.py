@@ -1,20 +1,16 @@
-"""Service-layer batch planning: cache, single-flight and admission.
+"""Service-layer batch planning: cache and single-flight.
 
 ``PlannerService.optimize_batch`` must fingerprint a batch as the
 ordered composition of its members' request fingerprints, serve repeats
 from the plan cache with every profile marked ``cache_hit=True``, and
-count under ``planner.batch.*``.  ``AdmissionBatcher`` must coalesce
-concurrent solo submissions with identical knobs into one batch call
-and hand each caller its own per-query plan.
+count under ``planner.batch.*``.
 """
-
-import threading
 
 import pytest
 
 from repro.core.batch import BatchPlan
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AdmissionBatcher, PlannerService, batch_fingerprint
+from repro.service import PlannerService, batch_fingerprint
 from repro.workloads import (
     amazoncat_config,
     ffnn_forward,
@@ -68,8 +64,7 @@ class TestServiceBatch:
         svc = PlannerService()
         graphs = _pair()
         svc.optimize_batch(graphs, max_states=MAX_STATES)
-        svc.optimize_batch(graphs, max_states=MAX_STATES,
-                           frontier="object")
+        svc.optimize_batch(graphs, max_states=MAX_STATES, prune=False)
         assert svc.stats()["batch"] == {"requests": 2, "hits": 0,
                                         "misses": 2}
 
@@ -79,8 +74,6 @@ class TestServiceBatch:
             svc.optimize_batch([])
         with pytest.raises(ValueError, match="unknown algorithm"):
             svc.optimize_batch(_pair(), algorithm="warp")
-        with pytest.raises(ValueError, match="unknown frontier"):
-            svc.optimize_batch(_pair(), frontier="arry")
         with pytest.raises(ValueError, match="rewrites"):
             svc.optimize_batch(_pair(), rewrites="pipelin")
         assert svc.stats()["batch"]["requests"] == 0
@@ -98,69 +91,9 @@ class TestServiceBatch:
             rewritten, _ = rewrite_stage(g, ctx, "none", svc.tracer)
             fps.append(request_fingerprint(
                 g, rewritten, ctx, algorithm="auto", timeout_seconds=None,
-                max_states=MAX_STATES, rewrites="none", prune=None,
-                order="class-size", frontier="array"))
+                max_states=MAX_STATES, rewrites="none", prune=None))
         assert batch_fingerprint(fps).key != \
             batch_fingerprint(list(reversed(fps))).key
         # And a batch never shares a key with its own sole member.
         assert batch_fingerprint(fps[:1]).key != fps[0].key
 
-
-class TestAdmissionBatcher:
-    def test_concurrent_submissions_coalesce_into_one_batch(self):
-        metrics = MetricsRegistry()
-        svc = PlannerService(metrics=metrics)
-        # A full window closes early, so a long window stays deterministic.
-        batcher = AdmissionBatcher(svc, window_seconds=30.0, max_batch=2)
-        graphs = _pair()
-        plans = [None, None]
-        errors = []
-
-        def submit(i):
-            try:
-                plans[i] = batcher.submit(graphs[i],
-                                          max_states=MAX_STATES)
-            except BaseException as exc:  # pragma: no cover - debug aid
-                errors.append(exc)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors
-        assert all(p is not None for p in plans)
-        assert batcher.stats() == {"batches": 1, "coalesced": 1}
-        assert svc.stats()["batch"]["requests"] == 1
-        for plan in plans:
-            assert plan.profile.batch_queries == 2
-            assert plan.profile.shared_subplans  # the shared forward pass
-
-    def test_solo_submission_degenerates_to_singleton_batch(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        plan = batcher.submit(mm_chain_graph(1), max_states=MAX_STATES)
-        assert plan.profile.batch_queries == 1
-        assert batcher.stats() == {"batches": 1, "coalesced": 0}
-
-    def test_different_knobs_never_batch_together(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        batcher.submit(mm_chain_graph(1), max_states=MAX_STATES)
-        batcher.submit(mm_chain_graph(1), max_states=MAX_STATES,
-                       frontier="object")
-        assert batcher.stats()["batches"] == 2
-
-    def test_planner_errors_reach_every_rider(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        with pytest.raises(ValueError, match="unknown frontier"):
-            batcher.submit(mm_chain_graph(1), frontier="bogus")
-
-    def test_bad_construction_rejected(self):
-        svc = PlannerService()
-        with pytest.raises(ValueError, match="max_batch"):
-            AdmissionBatcher(svc, max_batch=0)
-        with pytest.raises(ValueError, match="window_seconds"):
-            AdmissionBatcher(svc, window_seconds=-1.0)

@@ -195,7 +195,6 @@ def test_source_format_is_structural():
     {"rewrites": "all"},
     {"rewrites": "egraph"},
     {"prune": False},
-    {"order": "table-size"},
     {"timeout_seconds": 5.0},
 ])
 def test_search_knobs_change_key(knobs):

@@ -243,20 +243,3 @@ def test_unknown_algorithm_rejected_before_caching():
     assert len(service.cache) == 0
 
 
-def test_unknown_frontier_rejected_before_caching():
-    service = PlannerService()
-    with pytest.raises(ValueError, match="unknown frontier"):
-        service.optimize(wide_shared_dag(2, 2), frontier="bogus")
-    assert len(service.cache) == 0
-
-
-def test_frontier_knob_is_part_of_the_cache_key():
-    """Array- and object-planned requests are distinct cache entries (the
-    plans are bit-identical, but fingerprints must not conflate knobs)."""
-    service = PlannerService(OptimizerContext(formats=(single(),
-                                                       tiles(1000))))
-    arr = service.optimize(wide_shared_dag(2, 2), frontier="array")
-    obj = service.optimize(wide_shared_dag(2, 2), frontier="object")
-    assert not obj.profile.cache_hit
-    assert len(service.cache) == 2
-    assert arr.total_seconds == obj.total_seconds
